@@ -381,9 +381,9 @@ func verifyReport(test string, rep *verif.Report) *VerifyReport {
 		Outcomes: len(rep.Outcomes), Truncated: rep.Truncated,
 		ForbiddenSkipped: rep.ForbiddenSkipped,
 		Builds:           rep.Builds, Clones: rep.Clones,
-		MemSheds:         rep.MemSheds, SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
-		SymmetryMerges:   rep.SymmetryMerges, PORSkips: rep.PORSkips,
-		OutcomeList:      outs,
+		MemSheds: rep.MemSheds, SnapshotBudgetEnd: rep.SnapshotBudgetEnd,
+		SymmetryMerges: rep.SymmetryMerges, PORSkips: rep.PORSkips,
+		OutcomeList: outs,
 	}
 }
 

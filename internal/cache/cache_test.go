@@ -114,10 +114,11 @@ func TestSetMapping(t *testing.T) {
 	e0 := c.Install(line(0))
 	e16 := c.Install(line(16))
 	e1 := c.Install(line(1))
-	if e0.set != e16.set {
+	s0, s16, s1 := setOfFrame(c, e0), setOfFrame(c, e16), setOfFrame(c, e1)
+	if s0 != s16 {
 		t.Fatal("lines 0 and 16 should share a set in a 16-set cache")
 	}
-	if e0.set == e1.set {
+	if s0 == s1 {
 		t.Fatal("lines 0 and 1 should map to different sets")
 	}
 }

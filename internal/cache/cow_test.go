@@ -9,12 +9,39 @@ import (
 	"c3/internal/mem"
 )
 
+// frames flattens the chunk table into the set-major frame array (set s
+// at [s*ways, (s+1)*ways)), with unallocated chunks as free frames.
+func frames(c *Cache) []Entry {
+	out := make([]Entry, 0, c.Sets()*c.Ways())
+	for _, ch := range c.s.chunks {
+		if ch == nil {
+			ch = make([]Entry, c.chunkLen())
+		}
+		out = append(out, ch...)
+	}
+	return out
+}
+
+// setOfFrame reports the set holding frame e, found by its position in
+// the chunk table.
+func setOfFrame(c *Cache, e *Entry) int {
+	base := 0
+	for _, ch := range c.s.chunks {
+		for i := range ch {
+			if &ch[i] == e {
+				return (base + i) / c.ways
+			}
+		}
+		base += c.chunkLen()
+	}
+	panic("frame not in cache")
+}
+
 // dumpAll renders every frame (valid or not) plus LRU order, so two
 // caches compare equal only when fully identical.
 func dumpAll(c *Cache) string {
 	var b strings.Builder
-	for i := range c.s.entries {
-		e := &c.s.entries[i]
+	for i, e := range frames(c) {
 		fmt.Fprintf(&b, "%d:%v:%v:%d:%v:%v:%d;", i, e.Addr, e.Valid, e.State,
 			e.Data, e.DataValid, e.lru)
 	}
@@ -122,10 +149,9 @@ func TestCOWReleaseRecycles(t *testing.T) {
 	if n.Count() != 0 {
 		t.Fatal("pooled slab not reset by New")
 	}
-	for i := range n.s.entries {
-		e := &n.s.entries[i]
-		if e.Valid || e.lru != 0 || e.set != i/2 {
-			t.Fatalf("frame %d not reset: %+v", i, *e)
+	for i, e := range frames(n) {
+		if e != (Entry{}) {
+			t.Fatalf("frame %d not reset: %+v", i, e)
 		}
 	}
 }

@@ -31,6 +31,9 @@ func (c *C3) Clone(k *sim.Kernel, local, global network.Fabric) *C3 {
 		dirs:  make(map[mem.LineAddr]*ldir, len(c.dirs)),
 		tbes:  make(map[mem.LineAddr]*tbe, len(c.tbes)),
 		Stats: c.Stats,
+
+		outLocal:  network.NewOutbox(k, local),
+		outGlobal: network.NewOutbox(k, global),
 	}
 	dslab := make([]ldir, len(c.dirs))
 	i := 0

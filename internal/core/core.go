@@ -183,6 +183,10 @@ type C3 struct {
 	llc   *cache.Cache
 	dirs  map[mem.LineAddr]*ldir
 	tbes  map[mem.LineAddr]*tbe
+	// freeTBEs holds retired transaction records for reuse.
+	freeTBEs []*tbe
+	// outLocal/outGlobal delay sends by the controller occupancy.
+	outLocal, outGlobal network.Outbox
 
 	// Tracer, when non-nil, observes compound-state commits. Set before
 	// the simulation starts; nil keeps every hook a single branch.
@@ -215,12 +219,14 @@ func New(cfg Config) *C3 {
 		cfg.Lat = 2
 	}
 	return &C3{
-		cfg:   cfg,
-		k:     cfg.Kernel,
-		table: cfg.Table,
-		llc:   cache.New(cfg.LLCSize, cfg.LLCWays),
-		dirs:  make(map[mem.LineAddr]*ldir),
-		tbes:  make(map[mem.LineAddr]*tbe),
+		cfg:       cfg,
+		k:         cfg.Kernel,
+		table:     cfg.Table,
+		llc:       cache.New(cfg.LLCSize, cfg.LLCWays),
+		dirs:      make(map[mem.LineAddr]*ldir),
+		tbes:      make(map[mem.LineAddr]*tbe),
+		outLocal:  network.NewOutbox(cfg.Kernel, cfg.LocalNet),
+		outGlobal: network.NewOutbox(cfg.Kernel, cfg.GlobalNet),
 	}
 }
 
@@ -269,7 +275,7 @@ func (c *C3) gclass(a mem.LineAddr) ssp.Class {
 
 func (c *C3) sendLocal(m *msg.Msg) {
 	m.Src = c.cfg.ID
-	c.k.After(c.cfg.Lat, func() { c.cfg.LocalNet.Send(m) })
+	c.outLocal.Send(m, c.cfg.Lat)
 }
 
 func (c *C3) sendGlobal(m *msg.Msg) {
@@ -277,7 +283,7 @@ func (c *C3) sendGlobal(m *msg.Msg) {
 	if m.Dst == 0 {
 		m.Dst = c.cfg.GlobalDir
 	}
-	c.k.After(c.cfg.Lat, func() { c.cfg.GlobalNet.Send(m) })
+	c.outGlobal.Send(m, c.cfg.Lat)
 }
 
 // Recv implements network.Port for both fabrics.
@@ -359,7 +365,8 @@ func (c *C3) localRequest(m *msg.Msg) {
 			e = c.llc.Install(m.Addr)
 			e.State = gI
 		}
-		t := &tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phGlobal, req: m}
+		t := c.newTBE()
+		*t = tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phGlobal, req: m}
 		c.tbes[m.Addr] = t
 		if c.isLocalLine(m.Addr) {
 			// Hybrid configuration: this cluster is the line's home.
@@ -386,7 +393,8 @@ func (c *C3) localRequest(m *msg.Msg) {
 		panic(fmt.Sprintf("core: local serve of %v with no CXL-cache entry", m))
 	}
 	c.llc.Touch(e)
-	t := &tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phLocal, req: m}
+	t := c.newTBE()
+	*t = tbe{addr: m.Addr, kind: tLocal, entry: ent, ph: phLocal, req: m}
 	if c.startLocalFlow(t, ent.Plan, m.Src) {
 		c.tbes[m.Addr] = t
 		return
@@ -507,7 +515,8 @@ func (c *C3) grant(t *tbe) {
 // Device snoops are served first and synchronously: a stream of local
 // requests (e.g. a spin lock ping-ponging between host caches) must not
 // starve the global domain, or the remote cluster's unlock — and with it
-// the whole system — would never make progress.
+// the whole system — would never make progress. The record is recycled
+// last (see newTBE): no caller touches t after retire returns.
 func (c *C3) retire(t *tbe) {
 	if c.tbes[t.addr] == t {
 		delete(c.tbes, t.addr)
@@ -535,6 +544,19 @@ func (c *C3) retire(t *tbe) {
 	for _, m := range local {
 		c.Recv(m)
 	}
+	*t = tbe{}
+	c.freeTBEs = append(c.freeTBEs, t)
+}
+
+// newTBE returns a zeroed transaction record, reusing a retired one
+// when it can.
+func (c *C3) newTBE() *tbe {
+	if n := len(c.freeTBEs); n > 0 {
+		t := c.freeTBEs[n-1]
+		c.freeTBEs = c.freeTBEs[:n-1]
+		return t
+	}
+	return new(tbe)
 }
 
 func (c *C3) isGlobalSnoopType(t msg.Type) bool {

@@ -22,7 +22,8 @@ func (c *C3) evictFor(resume *msg.Msg) {
 	}
 	c.Stats.Evictions++
 	ent := c.table.Lookup(gen.TrigEvict, c.lclass(victim.Addr), gclassOf(victim.State))
-	t := &tbe{addr: victim.Addr, kind: tEvict, entry: ent, ph: phLocal, resume: resume}
+	t := c.newTBE()
+	*t = tbe{addr: victim.Addr, kind: tEvict, entry: ent, ph: phLocal, resume: resume}
 	c.tbes[victim.Addr] = t
 	if c.startLocalFlow(t, ent.Plan, msg.None) {
 		return

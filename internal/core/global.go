@@ -70,7 +70,8 @@ func (c *C3) globalSnoop(m *msg.Msg) {
 func (c *C3) freshSnoop(m *msg.Msg) {
 	ent := c.table.Lookup(c.snpTrig(m.Type), c.lclass(m.Addr), c.gclass(m.Addr))
 	c.Stats.SnoopsServed++
-	t := &tbe{addr: m.Addr, kind: tSnoop, entry: ent, snp: m, ph: phLocal}
+	t := c.newTBE()
+	*t = tbe{addr: m.Addr, kind: tSnoop, entry: ent, snp: m, ph: phLocal}
 	c.tbes[m.Addr] = t
 	if c.startLocalFlow(t, ent.Plan, msg.None) {
 		return

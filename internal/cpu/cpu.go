@@ -143,11 +143,12 @@ type Request struct {
 	// Acq/Rel annotate acquire loads and release stores, which
 	// self-invalidating (RCC) caches act on directly.
 	Acq, Rel bool
-	// Token identifies the in-flight operation to the issuing core, so a
-	// cache snapshot (model-checker Clone) can rebuild its pending
-	// completion callbacks: the clone hands the token back through
-	// Core.Resume instead of holding a closure over the original core.
-	// 0 means untracked (non-binding prefetches, which complete inline).
+	// Token identifies the in-flight operation to the issuing core. The
+	// port echoes it in Response.Token, so one completion function per
+	// core serves every access (no per-access closure), and a cache
+	// snapshot (model-checker Clone) rebinds its pending completions to a
+	// cloned core by swapping that one function. 0 means untracked
+	// (non-binding prefetches, which complete inline).
 	Token uint64
 }
 
@@ -161,11 +162,14 @@ type Response struct {
 	// Poisoned marks a load whose data came from a poisoned line (link
 	// retry exhaustion, or the only copy was lost with a crashed host).
 	Poisoned bool
+	// Token is the Request.Token of the access this response finishes.
+	Token uint64
 }
 
 // MemPort is the core's view of its private cache. Implementations must
-// invoke done exactly once, at a simulated time >= the call time, and
-// must preserve per-address request order from a single core.
+// invoke done exactly once, at a simulated time >= the call time, with
+// Response.Token set to req.Token, and must preserve per-address request
+// order from a single core.
 type MemPort interface {
 	Access(req Request, done func(Response))
 	// NeedsSyncOps reports whether Fence/Acquire/Release must be sent to
@@ -232,6 +236,14 @@ type Core struct {
 	nextSeq uint64
 	pumpEvt bool // an evaluate() is already scheduled
 
+	// respFn is Completion, bound once per core (New, Clone), so an L1
+	// access allocates no closure.
+	respFn func(Response)
+	// Retired uops and drained store-buffer entries, reused by fetch and
+	// issue.
+	freeUops []*uop
+	freeSB   []*sbEntry
+
 	// Observe, when non-nil, sees every completed memory operation.
 	Observe func(OpStats)
 
@@ -246,6 +258,7 @@ type Core struct {
 }
 
 type uop struct {
+	core     *Core
 	in       Instr
 	seq      uint64
 	issued   bool
@@ -283,11 +296,17 @@ func New(id int, k *sim.Kernel, cfg Config, l1 MemPort, src Source, onFinish fun
 		cfg.SpecDepth = 10
 	}
 	c := &Core{ID: id, cfg: cfg, k: k, l1: l1, src: src, fetchOK: true, onFinish: onFinish}
+	c.respFn = c.onResponse
 	if cfg.IssueJitter > 0 || cfg.DrainJitter > 0 {
 		c.rng = rand.New(rand.NewPCG(uint64(cfg.Seed)^0x7f, uint64(id+1)*0x9e3779b97f4a7c15))
 	}
 	return c
 }
+
+// Completion returns the function the core passes as done with every
+// tracked L1 access: it resumes the access named by Response.Token. An
+// L1 clone rebinds its pending completions to a cloned core with it.
+func (c *Core) Completion() func(Response) { return c.respFn }
 
 func (c *Core) jitter(n int) sim.Time {
 	if n <= 0 || c.rng == nil {
@@ -307,10 +326,15 @@ func (c *Core) pump() {
 		return
 	}
 	c.pumpEvt = true
-	c.k.After(1, func() {
-		c.pumpEvt = false
-		c.evaluate()
-	})
+	c.k.ScheduleArg(c.k.Now()+1, pumpCore, c)
+}
+
+// pumpCore is the pump event: a plain function over its *Core argument,
+// so scheduling it allocates nothing.
+func pumpCore(a any) {
+	c := a.(*Core)
+	c.pumpEvt = false
+	c.evaluate()
 }
 
 // evaluate advances fetch, issue, and store-buffer drain.
@@ -328,7 +352,14 @@ func (c *Core) fetch() {
 			c.srcDone = true
 			break
 		}
-		u := &uop{in: in, seq: c.nextSeq}
+		var u *uop
+		if n := len(c.freeUops); n > 0 {
+			u = c.freeUops[n-1]
+			c.freeUops = c.freeUops[:n-1]
+		} else {
+			u = new(uop)
+		}
+		*u = uop{core: c, in: in, seq: c.nextSeq}
 		c.nextSeq++
 		c.window = append(c.window, u)
 		if in.CtrlDep {
@@ -479,7 +510,15 @@ func (c *Core) issue() {
 				continue
 			}
 			u.issued = true
-			c.sb = append(c.sb, &sbEntry{addr: u.in.Addr, val: u.in.Val, rel: u.in.Rel, seq: u.seq})
+			var e *sbEntry
+			if n := len(c.freeSB); n > 0 {
+				e = c.freeSB[n-1]
+				c.freeSB = c.freeSB[:n-1]
+			} else {
+				e = new(sbEntry)
+			}
+			*e = sbEntry{addr: u.in.Addr, val: u.in.Val, rel: u.in.Rel, seq: u.seq}
+			c.sb = append(c.sb, e)
 			if c.cfg.MCM != WMO && !c.l1.NeedsSyncOps() {
 				// FIFO-draining models issue a non-binding ownership
 				// prefetch so store misses overlap (hardware RFO
@@ -540,15 +579,17 @@ func drainToken(seq uint64) uint64  { return seq<<1 + 2 }
 
 func (c *Core) accessL1(u *uop, req Request) {
 	req.Token = windowToken(u.seq)
-	tok := req.Token
-	c.l1.Access(req, func(r Response) { c.Resume(tok, r) })
+	c.l1.Access(req, c.respFn)
 }
+
+func (c *Core) onResponse(r Response) { c.Resume(r.Token, r) }
 
 // Resume finishes the in-flight operation identified by tok with the L1's
 // response. It is the single completion path for every tracked access —
-// the L1's callback merely forwards the token here — which is what lets a
-// cloned cache rebind its pending completions to a cloned core: the token
-// is data, not a closure. A token that matches nothing is a protocol bug.
+// the L1 calls the core's Completion function, which forwards the echoed
+// token here — which is what lets a cloned cache rebind its pending
+// completions to a cloned core: the token is data, not a closure. A
+// token that matches nothing is a protocol bug.
 func (c *Core) Resume(tok uint64, r Response) {
 	if tok == 0 {
 		return // untracked (prefetch)
@@ -589,16 +630,22 @@ func (c *Core) Resume(tok uint64, r Response) {
 }
 
 // completeLocal finishes ops that never left the core (SB retire,
-// forwarded loads, local fences) after a 1-cycle pipeline delay.
+// forwarded loads, local fences) after a 1-cycle pipeline delay. The
+// value rides in u.val until the event fires.
 func (c *Core) completeLocal(u *uop, val uint64) {
-	c.k.After(1, func() {
-		// Stores are observed when they drain from the SB, not here, to
-		// avoid double counting; forwarded loads count as hits.
-		if c.Observe != nil && u.in.Kind == Load {
-			c.Observe(OpStats{Kind: Load, Addr: u.in.Addr})
-		}
-		c.complete(u, val)
-	})
+	u.val = val
+	c.k.ScheduleArg(c.k.Now()+1, completeLocalUop, u)
+}
+
+func completeLocalUop(a any) {
+	u := a.(*uop)
+	c := u.core
+	// Stores are observed when they drain from the SB, not here, to
+	// avoid double counting; forwarded loads count as hits.
+	if c.Observe != nil && u.in.Kind == Load {
+		c.Observe(OpStats{Kind: Load, Addr: u.in.Addr})
+	}
+	c.complete(u, u.val)
 }
 
 func (c *Core) complete(u *uop, val uint64) {
@@ -613,13 +660,15 @@ func (c *Core) complete(u *uop, val uint64) {
 	c.pump()
 }
 
-// retire removes completed ops from the head of the window.
+// retire removes completed ops from the head of the window, recycling
+// their records for fetch.
 func (c *Core) retire() {
 	i := 0
 	for i < len(c.window) && c.window[i].done {
 		i++
 	}
 	if i > 0 {
+		c.freeUops = append(c.freeUops, c.window[:i]...)
 		c.window = append(c.window[:0], c.window[i:]...)
 	}
 }
@@ -649,22 +698,21 @@ func (c *Core) drainSB() {
 		}
 		s.draining = true
 		draining++
-		entry := s
 		c.outstanding++
-		tok := drainToken(entry.seq)
-		drain := func() {
-			c.l1.Access(Request{Kind: Store, Addr: entry.addr, Val: entry.val, Rel: entry.rel, Token: tok},
-				func(r Response) { c.Resume(tok, r) })
-		}
 		if j := c.jitter(c.cfg.DrainJitter); j > 0 {
-			c.k.After(j, drain)
+			c.k.After(j, func() { c.drain(s) })
 		} else {
-			drain()
+			c.drain(s)
 		}
 		if c.cfg.MCM != WMO {
 			break
 		}
 	}
+}
+
+// drain sends store-buffer entry s to the L1.
+func (c *Core) drain(s *sbEntry) {
+	c.l1.Access(Request{Kind: Store, Addr: s.addr, Val: s.val, Rel: s.rel, Token: drainToken(s.seq)}, c.respFn)
 }
 
 func (c *Core) olderSameLine(s *sbEntry) bool {
@@ -683,6 +731,7 @@ func (c *Core) removeSB(e *sbEntry) {
 	for i, s := range c.sb {
 		if s == e {
 			c.sb = append(c.sb[:i], c.sb[i+1:]...)
+			c.freeSB = append(c.freeSB, e)
 			return
 		}
 	}
@@ -691,8 +740,8 @@ func (c *Core) removeSB(e *sbEntry) {
 // Clone returns a deep copy of the core for model-checker snapshots,
 // attached to kernel k and instruction source src (the caller clones the
 // source). The L1 port is left nil — call BindL1 once the matching cache
-// clone exists; the cache resumes this core's in-flight accesses by
-// token (see Resume). Cores with jitter enabled cannot be cloned (the
+// clone exists; the cache resumes this core's in-flight accesses through
+// the clone's Completion function, by token (see Resume). Cores with jitter enabled cannot be cloned (the
 // checker explores orderings exhaustively and never uses jitter), nor
 // can cores with a pending pump event (non-quiescent).
 func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
@@ -712,6 +761,7 @@ func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
 		Retired: c.Retired, FinishedAt: c.FinishedAt, finished: c.finished,
 		outstanding: c.outstanding,
 	}
+	n.respFn = n.onResponse
 	// Window and store-buffer records are value slabs: one allocation
 	// each instead of one per uop/entry. Identity comparisons elsewhere
 	// (e.g. removeSB) work on the slab pointers.
@@ -720,6 +770,7 @@ func (c *Core) Clone(k *sim.Kernel, src Source) *Core {
 		n.window = make([]*uop, len(c.window))
 		for i, u := range c.window {
 			us[i] = *u
+			us[i].core = n
 			n.window[i] = &us[i]
 		}
 	}

@@ -51,7 +51,7 @@ func (f *fakeMem) Access(req Request, done func(Response)) {
 			v = f.store[req.Addr]
 			f.store[req.Addr] = req.Val
 		}
-		done(Response{Val: v, Missed: lat > 2, MissLatency: lat})
+		done(Response{Val: v, Missed: lat > 2, MissLatency: lat, Token: req.Token})
 	})
 }
 

@@ -165,16 +165,35 @@ func (v VNet) String() string {
 
 // Msg is one coherence message. Msgs are passed by pointer and must not
 // be mutated after Send; Data points at an immutable snapshot.
+//
+// The one-byte fields come first, packed into a single word, so a Msg is
+// 88 bytes and allocates from the 96-byte size class (interleaved with
+// the 8-byte fields it took 120 bytes, a 128-byte allocation). Messages
+// are the largest share of the simulator's per-event garbage.
 type Msg struct {
 	Type Type
+	VNet VNet
+	// Dirty marks the payload as modified relative to memory.
+	Dirty bool
+	// Poisoned marks data delivered by forced completion after the shim
+	// exhausted its retries — the CXL poison analogue: the transaction
+	// completes rather than hangs, but the payload is untrustworthy and
+	// the line is recorded in the injector's poison set.
+	Poisoned bool
+	// Mask flags the dirty words of a WrThrough payload (RCC merges at
+	// word granularity so concurrent writers to distinct words of a line
+	// do not lose updates).
+	Mask uint8
+	// Acq/Rel mark acquire loads and release stores for self-invalidating
+	// (RCC) caches.
+	Acq, Rel bool
+
 	Addr mem.LineAddr
 	Src  NodeID
 	Dst  NodeID
-	VNet VNet
 
 	// Data carries a line payload for data-bearing opcodes; nil otherwise.
-	Data  *mem.Data
-	Dirty bool // the payload is modified relative to memory
+	Data *mem.Data
 
 	// Req is the original requestor for 3-hop forwards (GFwd*, GInv).
 	Req NodeID
@@ -185,13 +204,6 @@ type Msg struct {
 	Val uint64
 	// Word is the line word index an atomic operates on.
 	Word int
-	// Mask flags the dirty words of a WrThrough payload (RCC merges at
-	// word granularity so concurrent writers to distinct words of a line
-	// do not lose updates).
-	Mask uint8
-	// Acq/Rel mark acquire loads and release stores for self-invalidating
-	// (RCC) caches.
-	Acq, Rel bool
 
 	// Serial is a unique id assigned at send time, for tracing.
 	Serial uint64
@@ -201,11 +213,6 @@ type Msg struct {
 	// link is perfect). Receivers dedup and reorder by it; it is not
 	// protocol-visible.
 	Seq uint64
-	// Poisoned marks data delivered by forced completion after the shim
-	// exhausted its retries — the CXL poison analogue: the transaction
-	// completes rather than hangs, but the payload is untrustworthy and
-	// the line is recorded in the injector's poison set.
-	Poisoned bool
 }
 
 // WithData returns a copy of d suitable for attaching to a message.

@@ -3,6 +3,7 @@ package msg
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"c3/internal/mem"
 )
@@ -43,6 +44,14 @@ func TestSize(t *testing.T) {
 	m.Data = &d
 	if m.Size() != HeaderBytes+mem.LineBytes {
 		t.Fatalf("data size %d", m.Size())
+	}
+}
+
+// TestMsgPacked pins the field layout that keeps a Msg in the 96-byte
+// allocation class (see Msg).
+func TestMsgPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n > 96 {
+		t.Fatalf("Msg is %d bytes, want <= 96: keep the one-byte fields together", n)
 	}
 }
 

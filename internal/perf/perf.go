@@ -1,7 +1,8 @@
 // Package perf is the self-contained micro-benchmark harness behind the
 // checked-in perf-trajectory baseline (BENCH_c3.json): it re-runs the
-// repo's four load-bearing hot paths — the event kernel, the checker's
-// snapshot expansion, the network send path, and the soak inner loop —
+// repo's load-bearing hot paths — the event kernel, the network send
+// path, the core/L1 hit round trip, the checker's snapshot expansion,
+// and the soak inner loop —
 // from a normal binary (c3bench -exp micro) rather than `go test
 // -bench`, measures wall time and allocation cost per op, and compares
 // the result against a committed baseline so every PR sees its perf
@@ -21,8 +22,10 @@ import (
 	"c3/internal/cpu"
 	"c3/internal/faults"
 	"c3/internal/litmus"
+	"c3/internal/mem"
 	"c3/internal/msg"
 	"c3/internal/network"
+	"c3/internal/protocol/hostproto"
 	"c3/internal/sim"
 	"c3/internal/verif"
 )
@@ -93,6 +96,33 @@ func Benchmarks() []Benchmark {
 						k.Run(nil)
 					}
 				}
+			},
+		},
+		{
+			// The transaction-class hit path (mirrors internal/protocol/
+			// hostproto BenchmarkL1Hit): a real core retiring loads and
+			// stores against a real MESI L1 that holds the line in M. One
+			// op is one retired instruction, a full core -> L1 -> core
+			// round trip through the kernel. Steady state is
+			// allocation-free.
+			Name: "l1-hit", Ops: 500_000, ZeroAlloc: true,
+			Setup: func(ops int) func() {
+				k := &sim.Kernel{}
+				const line = mem.LineAddr(0x4000)
+				l1 := hostproto.NewL1(10, 1, k, nopFabric{}, hostproto.DefaultConfig(hostproto.MESI))
+				l1.Access(cpu.Request{Kind: cpu.Store, Addr: line.Addr()}, func(cpu.Response) {})
+				l1.Recv(&msg.Msg{Type: msg.DataM, Addr: line, Data: msg.WithData(mem.Data{})})
+				k.RunLimit(0)
+				src := &hitSource{addr: line.Addr()}
+				c := cpu.New(0, k, cpu.DefaultConfig(cpu.WMO), l1, src, nil)
+				c.Start()
+				run := func(n int) {
+					for target := c.Retired + uint64(n); c.Retired < target; {
+						k.Step()
+					}
+				}
+				run(1000) // grow the window, store buffer and free lists
+				return func() { run(ops) }
 			},
 		},
 		{
@@ -209,6 +239,27 @@ func Benchmarks() []Benchmark {
 type nopPort struct{}
 
 func (nopPort) Recv(*msg.Msg) {}
+
+// nopFabric swallows the L1's (warm-up) sends.
+type nopFabric struct{}
+
+func (nopFabric) Send(*msg.Msg) {}
+
+// hitSource alternates a store and a load to one address, forever.
+type hitSource struct {
+	addr mem.Addr
+	n    uint64
+}
+
+func (s *hitSource) Next() (cpu.Instr, bool) {
+	s.n++
+	if s.n&1 == 0 {
+		return cpu.Instr{Kind: cpu.Load, Addr: s.addr}, true
+	}
+	return cpu.Instr{Kind: cpu.Store, Addr: s.addr, Val: s.n}, true
+}
+
+func (s *hitSource) Complete(cpu.Instr, uint64) {}
 
 func mpModel() verif.ModelConfig {
 	tc, ok := litmus.ByName("MP")

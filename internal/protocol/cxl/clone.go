@@ -21,7 +21,7 @@ import (
 // struct — a clone costs O(lines) flat copies, not O(lines) maps.
 func (d *DCOH) Clone(k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *DCOH {
 	n := &DCOH{
-		id: d.id, k: k, net: net, dram: dram, Lat: d.Lat,
+		id: d.id, k: k, dram: dram, Lat: d.Lat, out: network.NewOutbox(k, net),
 		lines:    make(map[mem.LineAddr]*dline, len(d.lines)),
 		dead:     d.dead,
 		poisoned: make(map[mem.LineAddr]bool, len(d.poisoned)),

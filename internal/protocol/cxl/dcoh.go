@@ -72,12 +72,14 @@ type Stats struct {
 type DCOH struct {
 	id   msg.NodeID
 	k    *sim.Kernel
-	net  network.Fabric
 	dram *mem.DRAM
 	// Lat is the controller occupancy added to each outgoing message.
 	Lat sim.Time
 
 	lines map[mem.LineAddr]*dline
+	out   network.Outbox
+	// freeTx holds transactions whose grant went out, for reuse.
+	freeTx []*tx
 
 	// dead is the set of isolated (crashed) hosts; late messages from
 	// them are dropped instead of panicking the FSM. poisoned marks lines
@@ -105,7 +107,7 @@ func (d *DCOH) traceState(a mem.LineAddr, old int, note string) {
 
 // New builds a DCOH with its backing device memory.
 func New(id msg.NodeID, k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *DCOH {
-	return &DCOH{id: id, k: k, net: net, dram: dram, Lat: 4,
+	return &DCOH{id: id, k: k, dram: dram, Lat: 4, out: network.NewOutbox(k, net),
 		lines:    make(map[mem.LineAddr]*dline),
 		poisoned: make(map[mem.LineAddr]bool)}
 }
@@ -127,7 +129,7 @@ func (d *DCOH) line(a mem.LineAddr) *dline {
 
 func (d *DCOH) send(m *msg.Msg) {
 	m.Src = d.id
-	d.k.After(d.Lat, func() { d.net.Send(m) })
+	d.out.Send(m, d.Lat)
 }
 
 // Recv implements network.Port.
@@ -164,7 +166,13 @@ func (d *DCOH) Recv(m *msg.Msg) {
 
 func (d *DCOH) startRead(l *dline, m *msg.Msg) {
 	d.Stats.Reads++
-	l.cur = &tx{req: m}
+	if n := len(d.freeTx); n > 0 {
+		l.cur = d.freeTx[n-1]
+		d.freeTx = d.freeTx[:n-1]
+	} else {
+		l.cur = new(tx)
+	}
+	*l.cur = tx{req: m}
 	want := msg.BISnpData
 	if m.Type == msg.MemRdA {
 		want = msg.BISnpInv
@@ -339,6 +347,11 @@ func (d *DCOH) finishRead(l *dline) {
 			d.traceState(cur.req.Addr, oldState, cur.req.Type.String())
 		}
 		d.send(rsp)
+		// Granted: nothing refers to cur any more. (An aborted
+		// transaction is not recycled; a read in flight may still
+		// check its aborted flag.)
+		*cur = tx{}
+		d.freeTx = append(d.freeTx, cur)
 		d.drain(l)
 	})
 }

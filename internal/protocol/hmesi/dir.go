@@ -59,10 +59,10 @@ type Stats struct {
 type Dir struct {
 	id   msg.NodeID
 	k    *sim.Kernel
-	net  network.Fabric
 	dram *mem.DRAM
 	// Lat is the controller occupancy added to outgoing messages.
 	Lat sim.Time
+	out network.Outbox
 
 	lines map[mem.LineAddr]*hline
 
@@ -90,7 +90,7 @@ func (d *Dir) traceState(a mem.LineAddr, old int, note string) {
 
 // New builds the directory with its backing memory.
 func New(id msg.NodeID, k *sim.Kernel, net network.Fabric, dram *mem.DRAM) *Dir {
-	return &Dir{id: id, k: k, net: net, dram: dram, Lat: 4,
+	return &Dir{id: id, k: k, dram: dram, Lat: 4, out: network.NewOutbox(k, net),
 		lines:    make(map[mem.LineAddr]*hline),
 		poisoned: make(map[mem.LineAddr]bool)}
 }
@@ -113,7 +113,7 @@ func (d *Dir) line(a mem.LineAddr) *hline {
 
 func (d *Dir) send(m *msg.Msg) {
 	m.Src = d.id
-	d.k.After(d.Lat, func() { d.net.Send(m) })
+	d.out.Send(m, d.Lat)
 }
 
 // Recv implements network.Port.

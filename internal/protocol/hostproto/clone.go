@@ -11,12 +11,13 @@ import (
 // Clone returns a deep copy of the L1 for model-checker snapshots,
 // attached to kernel k and fabric net. Pending core completions are the
 // one piece of L1 state that is not plain data: each queued pendingOp
-// holds a done closure over the original core. The request token (see
-// cpu.Request.Token) identifies the operation, so the clone rebuilds
-// every callback as a call into resume — the cloned core's Resume method
-// — making the snapshot's completion path identical to the original's.
-// The tracer is not carried over (checker models are untraced).
-func (l *L1) Clone(k *sim.Kernel, net network.Fabric, resume func(tok uint64, r cpu.Response)) *L1 {
+// holds the original core's completion function. The request token (see
+// cpu.Request.Token) is echoed in the response, so that function is the
+// same for every op of a core, and the clone swaps in done — the cloned
+// core's Completion — making the snapshot's completion path identical to
+// the original's. The tracer is not carried over (checker models are
+// untraced).
+func (l *L1) Clone(k *sim.Kernel, net network.Fabric, done func(cpu.Response)) *L1 {
 	n := &L1{
 		id: l.id, dir: l.dir, k: k, net: net,
 		c: l.c.Clone(), cfg: l.cfg,
@@ -24,21 +25,25 @@ func (l *L1) Clone(k *sim.Kernel, net network.Fabric, resume func(tok uint64, r 
 		evs:      make(map[mem.LineAddr]*evictTBE, len(l.evs)),
 		Accesses: l.Accesses, Misses: l.Misses,
 	}
-	redo := func(op pendingOp) pendingOp {
-		if op.req.Token == 0 {
-			panic("hostproto: Clone of L1 with an untracked pending op")
+	rebind := func(ops []pendingOp) []pendingOp {
+		if len(ops) == 0 {
+			return nil
 		}
-		tok := op.req.Token
-		op.done = func(r cpu.Response) { resume(tok, r) }
-		return op
+		out := make([]pendingOp, len(ops))
+		for i, op := range ops {
+			if op.req.Token == 0 {
+				panic("hostproto: Clone of L1 with an untracked pending op")
+			}
+			op.done = done
+			out[i] = op
+		}
+		return out
 	}
 	for a, t := range l.reqs {
 		nt := &reqTBE{
 			addr: t.addr, wantM: t.wantM, started: t.started,
 			invalidated: t.invalidated, opsAtInv: t.opsAtInv,
-		}
-		for _, op := range t.ops {
-			nt.ops = append(nt.ops, redo(op))
+			ops: rebind(t.ops),
 		}
 		if len(t.stalledSnps) > 0 {
 			// Immutable after Send (see msg.Msg): share the pointers,
@@ -51,8 +56,6 @@ func (l *L1) Clone(k *sim.Kernel, net network.Fabric, resume func(tok uint64, r 
 		ct := *t
 		n.evs[a] = &ct
 	}
-	for _, op := range l.deferred {
-		n.deferred = append(n.deferred, redo(op))
-	}
+	n.deferred = rebind(l.deferred)
 	return n
 }

@@ -71,6 +71,40 @@ type pendingOp struct {
 	start sim.Time
 }
 
+// replyRec is one core completion waiting out the hit latency.
+type replyRec struct {
+	q    *replies
+	done func(cpu.Response)
+	r    cpu.Response
+}
+
+// replies schedules core completions without a per-reply closure: each
+// pending reply is a recycled record, delivered by a plain function.
+type replies struct {
+	free []*replyRec
+}
+
+// after runs done(r) lat cycles from now on k.
+func (q *replies) after(k *sim.Kernel, lat sim.Time, done func(cpu.Response), r cpu.Response) {
+	var rec *replyRec
+	if n := len(q.free); n > 0 {
+		rec = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		rec = &replyRec{q: q}
+	}
+	rec.done, rec.r = done, r
+	k.ScheduleArg(k.Now()+lat, deliverReply, rec)
+}
+
+func deliverReply(a any) {
+	rec := a.(*replyRec)
+	done, r := rec.done, rec.r
+	rec.done = nil
+	rec.q.free = append(rec.q.free, rec)
+	done(r)
+}
+
 // reqTBE tracks an outstanding GetS/GetM.
 type reqTBE struct {
 	addr    mem.LineAddr
@@ -129,6 +163,10 @@ type L1 struct {
 	// deferred holds ops stalled on set-conflict pressure (no frame and
 	// no evictable victim); retried on every completion.
 	deferred []pendingOp
+	replies  replies
+	// freeTBEs recycles request TBEs (and their ops backing) once their
+	// fill has been served.
+	freeTBEs []*reqTBE
 
 	// Accesses/Misses drive MPKI accounting.
 	Accesses, Misses uint64
@@ -163,6 +201,29 @@ func NewL1(id, dir msg.NodeID, k *sim.Kernel, net network.Fabric, cfg Config) *L
 		reqs: make(map[mem.LineAddr]*reqTBE),
 		evs:  make(map[mem.LineAddr]*evictTBE),
 	}
+}
+
+// newTBE opens a request transaction for addr, reusing a recycled record.
+func (l *L1) newTBE(addr mem.LineAddr, wantM bool) *reqTBE {
+	var t *reqTBE
+	if n := len(l.freeTBEs); n > 0 {
+		t = l.freeTBEs[n-1]
+		l.freeTBEs = l.freeTBEs[:n-1]
+	} else {
+		t = new(reqTBE)
+	}
+	t.addr, t.wantM, t.started = addr, wantM, l.k.Now()
+	l.reqs[addr] = t
+	return t
+}
+
+// freeTBE recycles a finished transaction's record, keeping the backing
+// of its ops and stalled-snoop slices.
+func (l *L1) freeTBE(t *reqTBE) {
+	clear(t.ops)
+	clear(t.stalledSnps)
+	*t = reqTBE{ops: t.ops[:0], stalledSnps: t.stalledSnps[:0]}
+	l.freeTBEs = append(l.freeTBEs, t)
 }
 
 // ID returns the cache's network id.
@@ -212,8 +273,7 @@ func (l *L1) prefetch(line mem.LineAddr, wantM bool, done func(cpu.Response)) {
 			return // already good enough
 		}
 		// Upgrade in place.
-		t := &reqTBE{addr: line, wantM: true, started: l.k.Now()}
-		l.reqs[line] = t
+		l.newTBE(line, true)
 		l.send(&msg.Msg{Type: msg.GetM, Addr: line, VNet: msg.VReq})
 		return
 	}
@@ -226,8 +286,7 @@ func (l *L1) prefetch(line mem.LineAddr, wantM bool, done func(cpu.Response)) {
 	}
 	f := l.c.Install(line)
 	f.State = stPend
-	t := &reqTBE{addr: line, wantM: wantM, started: l.k.Now()}
-	l.reqs[line] = t
+	l.newTBE(line, wantM)
 	l.send(&msg.Msg{Type: ty, Addr: line, VNet: msg.VReq})
 }
 
@@ -250,8 +309,8 @@ func (l *L1) start(op pendingOp) {
 		}
 		// Upgrade path: S/F/O + write.
 		l.Misses++
-		t := &reqTBE{addr: line, wantM: true, ops: []pendingOp{op}, started: l.k.Now()}
-		l.reqs[line] = t
+		t := l.newTBE(line, true)
+		t.ops = append(t.ops, op)
 		l.send(&msg.Msg{Type: msg.GetM, Addr: line, VNet: msg.VReq})
 		return
 	}
@@ -273,8 +332,8 @@ func (l *L1) start(op pendingOp) {
 	}
 	f := l.c.Install(line)
 	f.State = stPend
-	t := &reqTBE{addr: line, wantM: op.req.Kind.IsWrite(), ops: []pendingOp{op}, started: l.k.Now()}
-	l.reqs[line] = t
+	t := l.newTBE(line, op.req.Kind.IsWrite())
+	t.ops = append(t.ops, op)
 	ty := msg.GetS
 	if t.wantM {
 		ty = msg.GetM
@@ -323,12 +382,11 @@ func (l *L1) tryHit(e *cache.Entry, op pendingOp) bool {
 }
 
 func (l *L1) reply(op pendingOp, val uint64, missed, poisoned bool) {
-	lat := l.cfg.HitLatency
-	r := cpu.Response{Val: val, Missed: missed, Poisoned: poisoned}
+	r := cpu.Response{Val: val, Missed: missed, Poisoned: poisoned, Token: op.req.Token}
 	if missed {
 		r.MissLatency = l.k.Now() - op.start
 	}
-	l.k.After(lat, func() { op.done(r) })
+	l.replies.after(l.k, l.cfg.HitLatency, op.done, r)
 }
 
 // evictable approves replacement victims: stable lines with no request
@@ -406,6 +464,7 @@ func (l *L1) fill(m *msg.Msg) {
 		// queued when the Inv arrived, drop the line, and re-request for
 		// anything else.
 		l.fillUseOnce(m, t)
+		l.freeTBE(t)
 		l.retryDeferred()
 		return
 	}
@@ -445,6 +504,7 @@ func (l *L1) fill(m *msg.Msg) {
 	for _, snp := range t.stalledSnps {
 		l.Recv(snp)
 	}
+	l.freeTBE(t)
 	l.retryDeferred()
 }
 
@@ -517,9 +577,8 @@ func (l *L1) replyMiss(op pendingOp, val uint64, poisoned bool) {
 
 // upgrade issues a GetM for remaining ops after a shared fill.
 func (l *L1) upgrade(old *reqTBE, e *cache.Entry, rest []pendingOp) {
-	t := &reqTBE{addr: old.addr, wantM: true, started: l.k.Now()}
+	t := l.newTBE(old.addr, true)
 	t.ops = append(t.ops, rest...)
-	l.reqs[old.addr] = t
 	l.send(&msg.Msg{Type: msg.GetM, Addr: old.addr, VNet: msg.VReq})
 }
 

@@ -61,6 +61,7 @@ type RCCL1 struct {
 
 	cur      *seqOp
 	seqQueue []*seqOp
+	replies  replies
 
 	Accesses, Misses uint64
 }
@@ -98,11 +99,11 @@ func (l *RCCL1) send(m *msg.Msg) {
 }
 
 func (l *RCCL1) reply(op pendingOp, val uint64, missed, poisoned bool) {
-	r := cpu.Response{Val: val, Missed: missed, Poisoned: poisoned}
+	r := cpu.Response{Val: val, Missed: missed, Poisoned: poisoned, Token: op.req.Token}
 	if missed {
 		r.MissLatency = l.k.Now() - op.start
 	}
-	l.k.After(l.cfg.HitLatency, func() { op.done(r) })
+	l.replies.after(l.k, l.cfg.HitLatency, op.done, r)
 }
 
 // Access implements cpu.MemPort.

@@ -23,17 +23,21 @@ func deliverEv(t sim.Time, ty msg.Type, addr mem.LineAddr, src, dst msg.NodeID, 
 }
 
 func TestRingOverflow(t *testing.T) {
-	r := trace.NewRing(4)
-	for i := 0; i < 7; i++ {
-		r.Emit(trace.Event{Kind: trace.KState, Time: sim.Time(i), Addr: mem.LineAddr(i * 64)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := sim.Time(3 + i); ev.Time != want {
-			t.Errorf("event %d at t=%d, want %d (oldest evicted first)", i, ev.Time, want)
+	// 1000 exceeds the ring's up-front allocation, so it grows first.
+	for _, capacity := range []int{4, 1000} {
+		r := trace.NewRing(capacity)
+		emitted := capacity + 3
+		for i := 0; i < emitted; i++ {
+			r.Emit(trace.Event{Kind: trace.KState, Time: sim.Time(i), Addr: mem.LineAddr(i * 64)})
+		}
+		if r.Len() != capacity || r.Dropped() != 3 {
+			t.Fatalf("cap %d: Len = %d, Dropped = %d, want %d, 3", capacity, r.Len(), r.Dropped(), capacity)
+		}
+		evs := r.Events()
+		for i, ev := range evs {
+			if want := sim.Time(3 + i); ev.Time != want {
+				t.Errorf("cap %d: event %d at t=%d, want %d (oldest evicted first)", capacity, i, ev.Time, want)
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ type symPerm struct {
 type symmetry struct {
 	perms    []symPerm
 	lineIdx  map[mem.LineAddr]int // variable line -> var index
-	varLines []mem.LineAddr      // var index -> line
+	varLines []mem.LineAddr       // var index -> line
 	vars     []litmus.Var
 	nThreads int
 	// porOK gates the partial-order reduction and the invalid-frame /
@@ -257,7 +257,7 @@ func permutations(n int) [][]int {
 
 // identityNode and identityLine avoid per-dump closure allocations for
 // the (overwhelmingly common) identity renaming.
-func identityNode(id msg.NodeID) msg.NodeID   { return id }
+func identityNode(id msg.NodeID) msg.NodeID    { return id }
 func identityLine(a mem.LineAddr) mem.LineAddr { return a }
 
 func (s *symmetry) rnNodeFn(p *symPerm) func(msg.NodeID) msg.NodeID {

@@ -25,7 +25,7 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // original untouched. The checker uses it to expand a frontier state's
 // successors without re-executing the delivery prefix from the root.
 //
-// The big flat arrays — cache frame slabs and the DRAM line store —
+// The big structures — cache frame tables and the DRAM line store —
 // clone copy-on-write: the clone shares the parent's backing under a
 // refcount and a private copy materializes only on the first mutating
 // access (see cache.Cache and mem.DRAM). A successor that hashes to an
@@ -36,7 +36,8 @@ func ModelsLive() int64 { return modelsLive.Load() }
 // checker visits): the kernel queue must be empty, which guarantees no
 // event closures reference the old graph. The one cross-component link
 // that outlives quiescence — an L1's pending core completions — is
-// rebuilt from request tokens (see cpu.Request.Token and cpu.Core.Resume).
+// rebound to the cloned core's completion function, which resumes by
+// request token (see cpu.Request.Token and cpu.Core.Resume).
 //
 // Clone is read-only on the receiver except for the COW refcounts, so
 // several successors of the same parent may be cloned concurrently.
@@ -65,7 +66,7 @@ func (m *Model) Clone() *Model {
 	for i, c := range m.cores {
 		src := m.srcs[i].Clone()
 		nc := c.Clone(n.K, src)
-		l1 := m.l1s[i].l1.Clone(n.K, n.Fabric, nc.Resume)
+		l1 := m.l1s[i].l1.Clone(n.K, n.Fabric, nc.Completion())
 		nc.BindL1(l1)
 		n.Fabric.Register(l1.ID(), l1)
 		n.cores = append(n.cores, nc)

@@ -70,14 +70,21 @@ func observer(cfg *RunConfig, sys *system.System, cl, idx int, miss *stats.MissB
 	}
 }
 
-// Run executes one workload and returns its datapoint.
+// Run executes one workload and returns its datapoint. The system it
+// ran on is released afterwards (nothing else can hold it), so a sweep
+// of runs recycles cache and DRAM backings instead of building fresh
+// ones.
 func Run(cfg RunConfig) (stats.Run, error) {
-	r, _, err := RunOn(cfg)
+	r, sys, err := RunOn(cfg)
+	if sys != nil {
+		sys.Release()
+	}
 	return r, err
 }
 
 // RunOn is Run plus the assembled system, for tools that report
-// controller and directory counters after the run.
+// controller and directory counters after the run. The caller owns the
+// system and may call its Release once done with it.
 func RunOn(cfg RunConfig) (stats.Run, *system.System, error) {
 	spec := cfg.Spec
 	if err := spec.Validate(); err != nil {
